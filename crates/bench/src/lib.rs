@@ -1,7 +1,7 @@
 //! # toss-bench — the experiment harness
 //!
 //! Shared machinery for the figure-regeneration binaries (`fig15`,
-//! `fig16a`, `fig16b`, `fig16c`) and the Criterion microbenches: corpus →
+//! `fig16a`, `fig16b`, `fig16c`) and the `bench_*` binaries: corpus →
 //! store → ontologies → fusion → SEO → executor, query compilation from
 //! `toss-datagen` workload specs, answer scoring against ground truth,
 //! and tabular/JSON reporting.

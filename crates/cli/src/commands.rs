@@ -8,8 +8,8 @@ use toss_core::algebra::TossPattern;
 use toss_core::executor::Mode;
 use toss_core::{
     enhance_sdb_full, make_ontology, suggest_constraints, AdmissionController, Executor,
-    Limit, MakerConfig, OesInstance, QueryBudget, QueryGovernor, TossCond, TossError,
-    TossOp, TossQuery, TossTerm,
+    Limit, MakerConfig, OesInstance, Operation, QueryBudget, QueryGovernor, TossCond,
+    TossError, TossOp, TossQuery, TossTerm,
 };
 use toss_lexicon::LexiconBuilder;
 use toss_ontology::persist::{seo_from_json, seo_to_json};
@@ -558,7 +558,7 @@ fn cmd_query(args: &Args) -> Result<(), CliFailure> {
     // loop would use (expired deadlines are rejected before any scan).
     let gov = QueryGovernor::new(budget_from_args(args)?);
     let admission = AdmissionController::new(1, Duration::from_millis(100));
-    let out = admission.run(&gov, || executor.select_governed(&query, mode, &gov))?;
+    let out = admission.run(&gov, || executor.run(Operation::Select(&query), mode, &gov))?;
     drop(scopes);
 
     println!(

@@ -62,12 +62,13 @@
 use super::hashjoin::{nested_join, JoinKey, NestedOutcome};
 use crate::error::TossResult;
 use crate::expand::{seo_class_frequencies, seo_classes};
-use crate::governor::{QueryGovernor, ScanDecision};
+use crate::governor::QueryGovernor;
 use crate::oes::SeoInstance;
 use std::collections::HashMap;
 use toss_pool::{partition_ranges, WorkerPool};
 use toss_tax::ops::PROD_ROOT_TAG;
 use toss_tree::{Forest, NodeData, Tree};
+use toss_xmldb::ScanControl;
 
 /// Required signature overlap for the similarity-join predicate: two
 /// trees join iff they share ≥ 1 element (an SEO class or an identical
@@ -262,7 +263,7 @@ fn refined_join(
                 let mut stamp: Vec<u32> = vec![u32::MAX; nr];
                 let mut out: Vec<(u32, Vec<u32>)> = Vec::new();
                 for (lg, lgroup) in lgroups_ref.iter().enumerate().take(e).skip(s) {
-                    if gov.join_candidates_preflight() != ScanDecision::Continue {
+                    if gov.join_candidates_preflight() != ScanControl::Continue {
                         // Budget exhausted before this join (or the
                         // query was cancelled): stop speculating. The
                         // frontier below reproduces the decision

@@ -14,18 +14,23 @@
 //! Joins retrieve each side by XPath, then run the product + selection
 //! locally — mirroring the paper's observation that Xindice returns
 //! intermediate results which "our code" then combines.
+//!
+//! [`Executor::run`] is the one pipeline: every [`Operation`] (σ, π,
+//! join, keyed similarity join) shares its stages, its governance and
+//! its epilogue.
 
-use crate::algebra::TossPattern;
+use crate::algebra::{JoinKey, TossPattern};
 use crate::convert::Conversions;
 use crate::error::{TossError, TossResult};
 use crate::expand::ExpandCtx;
-use crate::governor::{DegradationInfo, QueryGovernor, ScanDecision};
+use crate::governor::{DegradationInfo, QueryGovernor};
+use crate::oes::SeoInstance;
 use crate::rewrite::compile_xpath;
 use crate::semcache::{fingerprint, CachedRewrite, RewriteCache};
 use crate::typesys::TypeHierarchy;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use toss_ontology::Seo;
 use toss_pool::WorkerPool;
@@ -33,8 +38,7 @@ use toss_tax::{Cond, PatternTree};
 use toss_tree::Forest;
 use toss_xmldb::xpath::{Expr, NameTest, RelPath, ValueExpr};
 use toss_xmldb::{
-    planned_partitions, Collection, Database, DocumentId, NodeRef, ScanBudget,
-    ScanControl, ScanStatus, XPath,
+    planned_partitions, Collection, Database, DocumentId, NodeRef, ScanStatus, XPath,
 };
 
 /// Which semantics to execute a query under.
@@ -57,6 +61,73 @@ pub struct TossQuery {
     pub expand_labels: Vec<u32>,
 }
 
+/// One executor request: an algebra operator and its inputs, run by
+/// [`Executor::run`].
+#[derive(Debug, Clone, Copy)]
+pub enum Operation<'q> {
+    /// σ: the witness trees of one selection query.
+    Select(&'q TossQuery),
+    /// π_{P, PL}: retrieval as for `Select`, then the local TAX
+    /// projection keeps the matched nodes of the projection list (with
+    /// subtrees where requested) and their hierarchical relationships.
+    Project {
+        /// The selection whose witnesses are projected.
+        query: &'q TossQuery,
+        /// The projection list.
+        list: &'q [toss_tax::ProjectEntry],
+    },
+    /// A join: retrieve each side by its own XPath, then product +
+    /// select locally with the cross condition.
+    Join {
+        /// The left side's selection.
+        left: &'q TossQuery,
+        /// The right side's selection.
+        right: &'q TossQuery,
+        /// A pattern over the product (root = `tax_prod_root`) whose
+        /// condition may reference labels bound on both sides.
+        cross: &'q TossPattern,
+        /// Labels whose images contribute their descendant cones.
+        expand_labels: &'q [u32],
+    },
+    /// A keyed similarity join (the Figure-16(b) shape): tag conditions
+    /// select each side, one `~` condition relates one keyed leaf per
+    /// side. The join itself is the planned similarity hash-join over
+    /// the SEO ([`crate::algebra::similarity_join_planned`]). Under
+    /// [`Mode::TaxBaseline`] keys must match exactly (the SEO classes
+    /// are ignored), per the paper's baseline protocol.
+    SimilarityJoin {
+        /// The left side's selection.
+        left: &'q TossQuery,
+        /// The right side's selection.
+        right: &'q TossQuery,
+        /// The left side's key leaf.
+        left_key: &'q JoinKey,
+        /// The right side's key leaf.
+        right_key: &'q JoinKey,
+    },
+}
+
+impl Operation<'_> {
+    /// The root span the operation records.
+    fn span_name(&self) -> &'static str {
+        match self {
+            Operation::Select(_) => "toss.query.select",
+            Operation::Project { .. } => "toss.query.project",
+            Operation::Join { .. } => "toss.query.join",
+            Operation::SimilarityJoin { .. } => "toss.query.join_similarity",
+        }
+    }
+
+    /// The counter tallying completed operations of this kind.
+    fn counter_name(&self) -> &'static str {
+        match self {
+            Operation::Select(_) => "toss.query.selects",
+            Operation::Project { .. } => "toss.query.projects",
+            Operation::Join { .. } | Operation::SimilarityJoin { .. } => "toss.query.joins",
+        }
+    }
+}
+
 /// A query result with the paper's phase timings.
 ///
 /// The timings are the measured durations of the executor's tracing
@@ -72,8 +143,10 @@ pub struct QueryOutcome {
     /// how much work was skipped and an estimated recall loss. `None`
     /// means the result is exact (no budget interfered).
     pub degradation: Option<DegradationInfo>,
-    /// The retrieval strategy phase 2 chose (`None` for joins, whose
-    /// side selections carry their own plans in the trace).
+    /// The strategy the executor chose: the retrieval plan of a
+    /// selection or projection, the join plan of a similarity join
+    /// (`None` for a cross-condition join, whose side selections carry
+    /// their own plans in the trace).
     pub plan: Option<QueryPlan>,
     rewrite_time: Duration,
     execute_time: Duration,
@@ -104,28 +177,6 @@ impl QueryOutcome {
     /// Whether a soft budget degraded this result.
     pub fn is_degraded(&self) -> bool {
         self.degradation.is_some()
-    }
-}
-
-/// Bridge from the governor to `toss-xmldb`'s cooperative [`ScanBudget`]
-/// hook (the store crate stays ignorant of `toss-core`'s budget types).
-struct GovernorScan<'a>(&'a QueryGovernor);
-
-impl ScanBudget for GovernorScan<'_> {
-    fn before_document(&self, _docs_scanned: usize) -> ScanControl {
-        match self.0.scan_control() {
-            ScanDecision::Continue => ScanControl::Continue,
-            ScanDecision::Truncate => ScanControl::Truncate,
-            ScanDecision::Abort => ScanControl::Abort,
-        }
-    }
-
-    fn preflight(&self, _docs_scanned: usize) -> ScanControl {
-        match self.0.scan_preflight() {
-            ScanDecision::Continue => ScanControl::Continue,
-            ScanDecision::Truncate => ScanControl::Truncate,
-            ScanDecision::Abort => ScanControl::Abort,
-        }
     }
 }
 
@@ -380,28 +431,52 @@ fn approx_tree_bytes(t: &toss_tree::Tree) -> u64 {
 }
 
 /// Keep at most the governor-admitted number of witness trees.
-fn clamp_witnesses(forest: Forest, gov: &QueryGovernor) -> TossResult<Forest> {
+fn clamp_witnesses(mut forest: Forest, gov: &QueryGovernor) -> TossResult<Forest> {
     let allowed = gov.admit_witnesses(forest.len())?;
-    if allowed < forest.len() {
-        Ok(forest.iter().take(allowed).cloned().collect())
-    } else {
-        Ok(forest)
-    }
+    forest.trees_mut().truncate(allowed);
+    Ok(forest)
 }
 
 /// Shrink the two sides of a join until |L| × |R| fits the budget.
 fn clamp_join_inputs(
-    left: Forest,
-    right: Forest,
+    mut left: Forest,
+    mut right: Forest,
     gov: &QueryGovernor,
 ) -> TossResult<(Forest, Forest)> {
-    match gov.admit_join_cardinality(left.len(), right.len())? {
-        None => Ok((left, right)),
-        Some((l, r)) => Ok((
-            left.iter().take(l).cloned().collect(),
-            right.iter().take(r).cloned().collect(),
-        )),
+    if let Some((l, r)) = gov.admit_join_cardinality(left.len(), right.len())? {
+        left.trees_mut().truncate(l);
+        right.trees_mut().truncate(r);
     }
+    Ok((left, right))
+}
+
+/// The operator stage under the `toss.query.convert` span: `apply`
+/// gathers the operator's inputs and applies it, then the witnesses are
+/// clamped to the witness budget. Returns them with the stage's time.
+fn operate(
+    gov: &QueryGovernor,
+    apply: impl FnOnce(&toss_obs::SpanGuard) -> TossResult<Forest>,
+) -> TossResult<(Forest, Duration)> {
+    let cv = toss_obs::span("toss.query.convert");
+    let forest = clamp_witnesses(apply(&cv)?, gov)?;
+    cv.record("witnesses", forest.len());
+    Ok((forest, cv.finish()))
+}
+
+/// The TAX baseline's similarity-join SEO: an empty ontology leaves only
+/// the identical-string signature elements and buckets, i.e. an
+/// exact-match join. Built once per process.
+fn exact_match_seo() -> TossResult<Arc<Seo>> {
+    static EMPTY: OnceLock<Arc<Seo>> = OnceLock::new();
+    if let Some(seo) = EMPTY.get() {
+        return Ok(seo.clone());
+    }
+    let seo = toss_ontology::enhance(
+        &toss_ontology::Hierarchy::new(),
+        &toss_similarity::Levenshtein,
+        0.0,
+    )?;
+    Ok(EMPTY.get_or_init(|| Arc::new(seo)).clone())
 }
 
 /// Number of expansion terms the SEO rewrite introduced into a compiled
@@ -556,30 +631,12 @@ impl Executor {
         self
     }
 
-    fn ctx(&self) -> ExpandCtx<'_> {
-        ExpandCtx {
-            seo: &self.seo,
-            hierarchy: &self.hierarchy,
-            conversions: &self.conversions,
-            probe_metric: self.probe_metric.as_deref(),
-            part_of: self.part_of_seo.as_deref(),
-            governor: None,
-        }
-    }
-
-    fn ctx_governed<'a>(&'a self, gov: &'a QueryGovernor) -> ExpandCtx<'a> {
-        ExpandCtx {
-            governor: Some(gov),
-            ..self.ctx()
-        }
-    }
-
     /// Cache key for the Toss-mode rewrite of `cond`: the normalized
     /// condition fingerprint plus every executor-side input the
     /// expansion depends on. SEO version stamps are unique per
     /// enhancement, so fusing and re-enhancing an ontology can never be
     /// served a stale expansion.
-    fn rewrite_key(&self, cond: &crate::condition::TossCond, gov: Option<&QueryGovernor>) -> String {
+    fn rewrite_key(&self, cond: &crate::condition::TossCond, gov: &QueryGovernor) -> String {
         use std::fmt::Write as _;
         let mut key = fingerprint(cond);
         let _ = write!(
@@ -594,7 +651,7 @@ impl Executor {
         if let Some(m) = &self.probe_metric {
             let _ = write!(key, "#m:{}", m.name());
         }
-        match gov.and_then(|g| g.budget().max_expansion_terms) {
+        match gov.budget().max_expansion_terms {
             Some(limit) => {
                 let _ = write!(key, "|b:{limit:?}");
             }
@@ -614,18 +671,12 @@ impl Executor {
     fn compile_toss_cached(
         &self,
         pattern: &TossPattern,
-        gov: Option<&QueryGovernor>,
+        gov: &QueryGovernor,
     ) -> TossResult<PatternTree> {
         let key = self.rewrite_key(&pattern.condition, gov);
         if let Some(hit) = self.rewrite_cache.get(&key) {
-            let servable = match gov {
-                Some(g) => g.expansion_headroom() >= hit.terms as u64,
-                None => true,
-            };
-            if servable {
-                if let Some(g) = gov {
-                    g.admit_expansion_terms(hit.terms)?;
-                }
+            if gov.expansion_headroom() >= hit.terms as u64 {
+                gov.admit_expansion_terms(hit.terms)?;
                 let mut p = pattern.structure.clone();
                 p.set_condition((*hit.cond).clone())?;
                 self.rewrite_cache.record_hit();
@@ -633,16 +684,16 @@ impl Executor {
             }
         }
         self.rewrite_cache.record_miss();
-        let truncations_before = gov.map(QueryGovernor::expansion_truncations);
-        let compiled = match gov {
-            Some(g) => pattern.compile(self.ctx_governed(g))?,
-            None => pattern.compile(self.ctx())?,
-        };
-        let exact = match (truncations_before, gov) {
-            (Some(before), Some(g)) => g.expansion_truncations() == before,
-            _ => true,
-        };
-        if exact {
+        let truncations_before = gov.expansion_truncations();
+        let compiled = pattern.compile(ExpandCtx {
+            seo: &self.seo,
+            hierarchy: &self.hierarchy,
+            conversions: &self.conversions,
+            probe_metric: self.probe_metric.as_deref(),
+            part_of: self.part_of_seo.as_deref(),
+            governor: Some(gov),
+        })?;
+        if gov.expansion_truncations() == truncations_before {
             self.rewrite_cache.insert(
                 key,
                 CachedRewrite {
@@ -654,21 +705,17 @@ impl Executor {
         Ok(compiled)
     }
 
-    fn compile(&self, pattern: &TossPattern, mode: Mode) -> TossResult<PatternTree> {
-        match mode {
-            Mode::Toss => self.compile_toss_cached(pattern, None),
-            Mode::TaxBaseline => pattern.compile_baseline(),
-        }
-    }
-
-    fn compile_governed(
+    /// Stage 1's pattern rewrite under `mode`. Callers with no budget
+    /// pass an unlimited governor: it renders the `|b:unlimited` cache
+    /// key and never truncates.
+    fn rewrite(
         &self,
         pattern: &TossPattern,
         mode: Mode,
         gov: &QueryGovernor,
     ) -> TossResult<PatternTree> {
         match mode {
-            Mode::Toss => self.compile_toss_cached(pattern, Some(gov)),
+            Mode::Toss => self.compile_toss_cached(pattern, gov),
             Mode::TaxBaseline => pattern.compile_baseline(),
         }
     }
@@ -678,7 +725,7 @@ impl Executor {
     /// cooperative [`ScanBudget`] hook. The deadline/cancel check at the
     /// top guarantees an already-dead query is rejected before a single
     /// document is visited.
-    fn retrieve_governed<'a>(
+    fn retrieve<'a>(
         &'a self,
         query: &TossQuery,
         mode: Mode,
@@ -688,7 +735,7 @@ impl Executor {
 
         // phase 1: rewrite
         let rw = toss_obs::span("toss.query.rewrite");
-        let compiled = self.compile_governed(&query.pattern, mode, gov)?;
+        let compiled = self.rewrite(&query.pattern, mode, gov)?;
         let xpath_src = compile_xpath(&compiled)?;
         let xpath = XPath::parse(&xpath_src)?;
         let n_expansion = expansion_terms(compiled.condition());
@@ -725,12 +772,9 @@ impl Executor {
             // retrieval planning never yields a join plan
             QueryPlan::SimilarityJoin { .. } => {}
         }
-        let scan = GovernorScan(gov);
         let (matches, status) = match &probe_docs {
-            Some(docs) => {
-                xpath.eval_collection_docs_budgeted(coll, docs, &scan, &self.pool)
-            }
-            None => xpath.eval_collection_parallel(coll, &scan, &self.pool),
+            Some(docs) => xpath.eval_collection_docs_budgeted(coll, docs, gov, &self.pool),
+            None => xpath.eval_collection_parallel(coll, gov, &self.pool),
         };
         match status {
             ScanStatus::Complete { .. } => {}
@@ -759,7 +803,7 @@ impl Executor {
     /// the approximate-memory budget per tree. A tripped soft ceiling
     /// stops loading further documents (graceful degradation); a hard
     /// ceiling errors.
-    fn load_candidates_governed(
+    fn load_candidates(
         &self,
         coll: &Collection,
         matches: &[NodeRef],
@@ -782,114 +826,163 @@ impl Executor {
         Ok(candidate)
     }
 
-    /// Execute a selection query (ungoverned: no budgets, no deadline).
-    pub fn select(&self, query: &TossQuery, mode: Mode) -> TossResult<QueryOutcome> {
-        self.select_governed(query, mode, &QueryGovernor::unlimited())
-    }
-
-    /// Execute a selection query under a [`QueryGovernor`].
+    /// Execute one operation under a [`QueryGovernor`] — the paper's
+    /// executor pipeline, shared by every operator:
     ///
+    /// 1. **retrieve** — σ and π rewrite their pattern, plan, and
+    ///    probe/scan the store ([`Executor::retrieve`]); a join recurses
+    ///    through `run(Select)` once per side and rewrites its cross
+    ///    condition;
+    /// 2. **operate** — under `toss.query.convert`: load the candidate
+    ///    documents (σ, π) or clamp the sides to the join-cardinality
+    ///    budget (joins), then apply the algebra operator;
+    /// 3. **clamp** the witnesses to the witness budget;
+    /// 4. **epilogue** — degradation, span fields, counters and the
+    ///    [`QueryOutcome`].
+    ///
+    /// One governor covers the whole request, both join sides included.
     /// Soft budget trips degrade the result (fewer expansion terms,
-    /// documents, or witnesses than an exact run) and are reported in
-    /// [`QueryOutcome::degradation`]; hard trips, the deadline and
-    /// cancellation return typed errors.
-    pub fn select_governed(
+    /// documents, pairs or witnesses than an exact run) and are reported
+    /// in [`QueryOutcome::degradation`]; hard trips, the deadline and
+    /// cancellation return typed errors. Callers that want no limits
+    /// pass [`QueryGovernor::unlimited`]. A join's phase times are the
+    /// sums of its sides' plus its own rewrite/convert stages.
+    pub fn run(
         &self,
-        query: &TossQuery,
+        op: Operation<'_>,
         mode: Mode,
         gov: &QueryGovernor,
     ) -> TossResult<QueryOutcome> {
-        let span = toss_obs::span("toss.query.select");
-        span.record("collection", query.collection.as_str());
-
-        let ret = self.retrieve_governed(query, mode, gov)?;
-
-        // phase 3: convert matched documents back to witness trees
-        let cv = toss_obs::span("toss.query.convert");
-        let candidate =
-            self.load_candidates_governed(ret.coll, &ret.matches, gov, &cv)?;
-        let forest = toss_tax::select(&candidate, &ret.compiled, &query.expand_labels)?;
-        let forest = clamp_witnesses(forest, gov)?;
-        cv.record("witnesses", forest.len());
-        let convert_time = cv.finish();
+        let span = toss_obs::span(op.span_name());
+        let (forest, xpath, plan, phases, store_expansion) = match op {
+            Operation::Select(query) | Operation::Project { query, .. } => {
+                span.record("collection", query.collection.as_str());
+                let ret = self.retrieve(query, mode, gov)?;
+                let (forest, convert_time) = operate(gov, |cv| {
+                    let candidate = self.load_candidates(ret.coll, &ret.matches, gov, cv)?;
+                    Ok(match op {
+                        Operation::Project { list, .. } => {
+                            toss_tax::project(&candidate, &ret.compiled, list)?
+                        }
+                        _ => toss_tax::select(&candidate, &ret.compiled, &query.expand_labels)?,
+                    })
+                })?;
+                let phases = [ret.rewrite_time, ret.execute_time, convert_time];
+                (forest, ret.xpath_src, Some(ret.plan), phases, Some(ret.n_expansion))
+            }
+            Operation::Join {
+                left,
+                right,
+                cross,
+                expand_labels,
+            } => {
+                let (l, r) = self.select_both(left, right, mode, gov)?;
+                let rw = toss_obs::span("toss.query.rewrite");
+                let cross = self.rewrite(cross, mode, gov)?;
+                let cross_time = rw.finish();
+                let (forest, convert_time) = operate(gov, |_| {
+                    let (lf, rf) = clamp_join_inputs(l.forest, r.forest, gov)?;
+                    Ok(toss_tax::join(&lf, &rf, &cross, expand_labels)?)
+                })?;
+                let phases = [
+                    l.rewrite_time + r.rewrite_time + cross_time,
+                    l.execute_time + r.execute_time,
+                    l.convert_time + r.convert_time + convert_time,
+                ];
+                (forest, format!("{} ⋈ {}", l.xpath, r.xpath), None, phases, None)
+            }
+            Operation::SimilarityJoin {
+                left,
+                right,
+                left_key,
+                right_key,
+            } => {
+                let (l, r) = self.select_both(left, right, mode, gov)?;
+                let mut plan = None;
+                let (forest, convert_time) = operate(gov, |_| {
+                    let (lf, rf) = clamp_join_inputs(l.forest, r.forest, gov)?;
+                    let seo = match mode {
+                        Mode::Toss => self.seo.clone(),
+                        Mode::TaxBaseline => exact_match_seo()?,
+                    };
+                    let (joined, stats) = crate::algebra::similarity_join_planned(
+                        &SeoInstance::new(lf, seo.clone()),
+                        &SeoInstance::new(rf, seo),
+                        left_key,
+                        right_key,
+                        &self.join_config,
+                        &self.pool,
+                        gov,
+                    )?;
+                    plan = Some(QueryPlan::SimilarityJoin {
+                        refined: stats.refined,
+                        groups: stats.groups_left + stats.groups_right,
+                        candidates: stats.candidates as usize,
+                        workers: stats.workers,
+                    });
+                    Ok(joined.forest)
+                })?;
+                let phases = [
+                    l.rewrite_time + r.rewrite_time,
+                    l.execute_time + r.execute_time,
+                    l.convert_time + r.convert_time + convert_time,
+                ];
+                (forest, format!("{} ⋈~ {}", l.xpath, r.xpath), plan, phases, None)
+            }
+        };
+        let [rewrite_time, execute_time, convert_time] = phases;
 
         let degradation = gov.degradation();
         if let Some(d) = &degradation {
             span.record("degradation", d.to_string());
         }
         span.record("results", forest.len());
-        toss_obs::metrics::counter("toss.query.selects").inc();
-        toss_obs::metrics::counter("toss.query.expansion_terms")
-            .add(ret.n_expansion as u64);
-        publish_phase_metrics(ret.rewrite_time, ret.execute_time, convert_time);
-        drop(span);
-
-        Ok(QueryOutcome {
-            forest,
-            xpath: ret.xpath_src,
-            degradation,
-            plan: Some(ret.plan),
-            rewrite_time: ret.rewrite_time,
-            execute_time: ret.execute_time,
-            convert_time,
-        })
-    }
-
-    /// Execute a projection π_{P, PL}: XPath retrieval as in
-    /// [`Executor::select`], then the local TAX projection keeps the
-    /// matched nodes of the projection list (with subtrees where
-    /// requested) and their hierarchical relationships.
-    pub fn project(
-        &self,
-        query: &TossQuery,
-        list: &[toss_tax::ProjectEntry],
-        mode: Mode,
-    ) -> TossResult<QueryOutcome> {
-        self.project_governed(query, list, mode, &QueryGovernor::unlimited())
-    }
-
-    /// [`Executor::project`] under a [`QueryGovernor`] (same semantics
-    /// as [`Executor::select_governed`]).
-    pub fn project_governed(
-        &self,
-        query: &TossQuery,
-        list: &[toss_tax::ProjectEntry],
-        mode: Mode,
-        gov: &QueryGovernor,
-    ) -> TossResult<QueryOutcome> {
-        let span = toss_obs::span("toss.query.project");
-        span.record("collection", query.collection.as_str());
-
-        let ret = self.retrieve_governed(query, mode, gov)?;
-
-        let cv = toss_obs::span("toss.query.convert");
-        let candidate =
-            self.load_candidates_governed(ret.coll, &ret.matches, gov, &cv)?;
-        let forest = toss_tax::project(&candidate, &ret.compiled, list)?;
-        let forest = clamp_witnesses(forest, gov)?;
-        cv.record("witnesses", forest.len());
-        let convert_time = cv.finish();
-
-        let degradation = gov.degradation();
-        if let Some(d) = &degradation {
-            span.record("degradation", d.to_string());
+        // a store operator's plan is on its execute span; a similarity
+        // join's is on its own
+        if let (Operation::SimilarityJoin { .. }, Some(p)) = (op, &plan) {
+            span.record("plan", p.strategy());
         }
-        span.record("results", forest.len());
-        toss_obs::metrics::counter("toss.query.projects").inc();
-        toss_obs::metrics::counter("toss.query.expansion_terms")
-            .add(ret.n_expansion as u64);
-        publish_phase_metrics(ret.rewrite_time, ret.execute_time, convert_time);
+        toss_obs::metrics::counter(op.counter_name()).inc();
+        // joins publish no phase metrics of their own: their sides did
+        if let Some(n) = store_expansion {
+            toss_obs::metrics::counter("toss.query.expansion_terms").add(n as u64);
+            publish_phase_metrics(rewrite_time, execute_time, convert_time);
+        }
         drop(span);
 
         Ok(QueryOutcome {
             forest,
-            xpath: ret.xpath_src,
+            xpath,
             degradation,
-            plan: Some(ret.plan),
-            rewrite_time: ret.rewrite_time,
-            execute_time: ret.execute_time,
+            plan,
+            rewrite_time,
+            execute_time,
             convert_time,
         })
+    }
+
+    /// Execute a selection query with no budgets and no deadline.
+    pub fn select(&self, query: &TossQuery, mode: Mode) -> TossResult<QueryOutcome> {
+        self.run(Operation::Select(query), mode, &QueryGovernor::unlimited())
+    }
+
+    /// Execute a keyed similarity join (the Figure-16(b) shape) with no
+    /// budgets and no deadline; see [`Operation::SimilarityJoin`].
+    pub fn join_similarity(
+        &self,
+        left: &TossQuery,
+        right: &TossQuery,
+        left_key: &JoinKey,
+        right_key: &JoinKey,
+        mode: Mode,
+    ) -> TossResult<QueryOutcome> {
+        let op = Operation::SimilarityJoin {
+            left,
+            right,
+            left_key,
+            right_key,
+        };
+        self.run(op, mode, &QueryGovernor::unlimited())
     }
 
     /// Evaluate the two side selections of a join, fanning them out as
@@ -897,196 +990,25 @@ impl Executor {
     /// still partitions its own scan on the same pool —
     /// [`WorkerPool::run`] is re-entrant, so nesting cannot deadlock.
     /// With a sequential pool the sides run in order and the right side
-    /// is skipped after a left-side error, exactly as before.
-    fn select_both_governed(
+    /// is skipped after a left-side error.
+    fn select_both(
         &self,
         left: &TossQuery,
         right: &TossQuery,
         mode: Mode,
         gov: &QueryGovernor,
     ) -> TossResult<(QueryOutcome, QueryOutcome)> {
+        let side = |q| self.run(Operation::Select(q), mode, gov);
         if self.pool.is_sequential() {
-            return Ok((
-                self.select_governed(left, mode, gov)?,
-                self.select_governed(right, mode, gov)?,
-            ));
+            return Ok((side(left)?, side(right)?));
         }
         type SideTask<'s> = Box<dyn FnOnce() -> TossResult<QueryOutcome> + Send + 's>;
-        let tasks: Vec<SideTask<'_>> = vec![
-            Box::new(move || self.select_governed(left, mode, gov)),
-            Box::new(move || self.select_governed(right, mode, gov)),
-        ];
+        let tasks: Vec<SideTask<'_>> =
+            vec![Box::new(move || side(left)), Box::new(move || side(right))];
         let mut sides = self.pool.run(tasks);
         let r = sides.pop().expect("two tasks yield two results");
         let l = sides.pop().expect("two tasks yield two results");
         Ok((l?, r?))
-    }
-
-    /// Execute a join: retrieve each side by its own XPath, then product
-    /// + select locally with the cross condition.
-    ///
-    /// `left`/`right` select the sides; `cross` is a pattern over the
-    /// product (root = `tax_prod_root`) whose condition may reference
-    /// labels bound on both sides.
-    pub fn join(
-        &self,
-        left: &TossQuery,
-        right: &TossQuery,
-        cross: &TossPattern,
-        expand_labels: &[u32],
-        mode: Mode,
-    ) -> TossResult<QueryOutcome> {
-        self.join_governed(
-            left,
-            right,
-            cross,
-            expand_labels,
-            mode,
-            &QueryGovernor::unlimited(),
-        )
-    }
-
-    /// [`Executor::join`] under a [`QueryGovernor`]. One governor covers
-    /// the whole request: both side selections, the product (bounded by
-    /// the join-cardinality budget *before* it is materialized) and the
-    /// combine phase.
-    pub fn join_governed(
-        &self,
-        left: &TossQuery,
-        right: &TossQuery,
-        cross: &TossPattern,
-        expand_labels: &[u32],
-        mode: Mode,
-        gov: &QueryGovernor,
-    ) -> TossResult<QueryOutcome> {
-        let span = toss_obs::span("toss.query.join");
-        let (l, r) = self.select_both_governed(left, right, mode, gov)?;
-
-        let cross_span = toss_obs::span("toss.query.rewrite");
-        let compiled_cross = self.compile_governed(cross, mode, gov)?;
-        let rewrite_time = l.rewrite_time + r.rewrite_time + cross_span.finish();
-
-        let combine = toss_obs::span("toss.query.convert");
-        let (lf, rf) = clamp_join_inputs(l.forest, r.forest, gov)?;
-        let joined = toss_tax::join(&lf, &rf, &compiled_cross, expand_labels)?;
-        let joined = clamp_witnesses(joined, gov)?;
-        combine.record("witnesses", joined.len());
-        let convert_time = l.convert_time + r.convert_time + combine.finish();
-
-        let degradation = gov.degradation();
-        if let Some(d) = &degradation {
-            span.record("degradation", d.to_string());
-        }
-        span.record("results", joined.len());
-        toss_obs::metrics::counter("toss.query.joins").inc();
-        drop(span);
-
-        Ok(QueryOutcome {
-            forest: joined,
-            xpath: format!("{} ⋈ {}", l.xpath, r.xpath),
-            degradation,
-            plan: None,
-            rewrite_time,
-            execute_time: l.execute_time + r.execute_time,
-            convert_time,
-        })
-    }
-
-    /// Execute a keyed similarity join (the Figure-16(b) shape: tag
-    /// conditions select each side, one `~` condition relates one keyed
-    /// leaf per side). Retrieval runs through the store; the join itself
-    /// is a similarity hash-join over the SEO ([`crate::algebra::similarity_hash_join`]).
-    /// Under [`Mode::TaxBaseline`] keys must match exactly (the SEO
-    /// classes are ignored), per the paper's baseline protocol.
-    pub fn join_similarity(
-        &self,
-        left: &TossQuery,
-        right: &TossQuery,
-        left_key: &crate::algebra::JoinKey,
-        right_key: &crate::algebra::JoinKey,
-        mode: Mode,
-    ) -> TossResult<QueryOutcome> {
-        self.join_similarity_governed(
-            left,
-            right,
-            left_key,
-            right_key,
-            mode,
-            &QueryGovernor::unlimited(),
-        )
-    }
-
-    /// [`Executor::join_similarity`] under a [`QueryGovernor`] (same
-    /// request-wide coverage as [`Executor::join_governed`]).
-    pub fn join_similarity_governed(
-        &self,
-        left: &TossQuery,
-        right: &TossQuery,
-        left_key: &crate::algebra::JoinKey,
-        right_key: &crate::algebra::JoinKey,
-        mode: Mode,
-        gov: &QueryGovernor,
-    ) -> TossResult<QueryOutcome> {
-        use crate::oes::SeoInstance;
-        let span = toss_obs::span("toss.query.join_similarity");
-        let (l, r) = self.select_both_governed(left, right, mode, gov)?;
-        let combine = toss_obs::span("toss.query.convert");
-        let (lf, rf) = clamp_join_inputs(l.forest, r.forest, gov)?;
-        let (joined, jstats) = match mode {
-            Mode::Toss => crate::algebra::similarity_join_planned(
-                &SeoInstance::new(lf, self.seo.clone()),
-                &SeoInstance::new(rf, self.seo.clone()),
-                left_key,
-                right_key,
-                &self.join_config,
-                &self.pool,
-                gov,
-            )?,
-            Mode::TaxBaseline => {
-                // exact-match join: an empty SEO leaves only the
-                // identical-string signature elements / buckets
-                let empty = Arc::new(toss_ontology::enhance(
-                    &toss_ontology::Hierarchy::new(),
-                    &toss_similarity::Levenshtein,
-                    0.0,
-                )?);
-                crate::algebra::similarity_join_planned(
-                    &SeoInstance::new(lf, empty.clone()),
-                    &SeoInstance::new(rf, empty),
-                    left_key,
-                    right_key,
-                    &self.join_config,
-                    &self.pool,
-                    gov,
-                )?
-            }
-        };
-        let plan = QueryPlan::SimilarityJoin {
-            refined: jstats.refined,
-            groups: jstats.groups_left + jstats.groups_right,
-            candidates: jstats.candidates as usize,
-            workers: jstats.workers,
-        };
-        let forest = clamp_witnesses(joined.forest, gov)?;
-        combine.record("witnesses", forest.len());
-        let convert_time = l.convert_time + r.convert_time + combine.finish();
-        let degradation = gov.degradation();
-        if let Some(d) = &degradation {
-            span.record("degradation", d.to_string());
-        }
-        span.record("results", forest.len());
-        span.record("plan", plan.strategy());
-        toss_obs::metrics::counter("toss.query.joins").inc();
-        drop(span);
-        Ok(QueryOutcome {
-            forest,
-            xpath: format!("{} ⋈~ {}", l.xpath, r.xpath),
-            degradation,
-            plan: Some(plan),
-            rewrite_time: l.rewrite_time + r.rewrite_time,
-            execute_time: l.execute_time + r.execute_time,
-            convert_time,
-        })
     }
 
     /// Convenience: run a selection purely in memory over a forest
@@ -1099,7 +1021,7 @@ impl Executor {
         expand_labels: &[u32],
         mode: Mode,
     ) -> TossResult<Forest> {
-        let compiled = self.compile(pattern, mode)?;
+        let compiled = self.rewrite(pattern, mode, &QueryGovernor::unlimited())?;
         toss_tax::select(forest, &compiled, expand_labels).map_err(TossError::from)
     }
 }
@@ -1339,13 +1261,13 @@ mod tests {
             let gov1 = QueryGovernor::new(budget.clone());
             let base = setup_wide(n)
                 .with_threads(1)
-                .select_governed(&q, Mode::Toss, &gov1)
+                .run(Operation::Select(&q), Mode::Toss, &gov1)
                 .unwrap();
             for threads in [2, 7] {
                 let gov = QueryGovernor::new(budget.clone());
                 let out = setup_wide(n)
                     .with_threads(threads)
-                    .select_governed(&q, Mode::Toss, &gov)
+                    .run(Operation::Select(&q), Mode::Toss, &gov)
                     .unwrap();
                 assert_eq!(
                     forest_to_xml(&out.forest, Style::Compact),
@@ -1368,7 +1290,7 @@ mod tests {
         let ex = setup_wide(20);
         let q = wide_query("author", "A1", true);
         let gov = QueryGovernor::unlimited();
-        let out = ex.select_governed(&q, Mode::Toss, &gov).unwrap();
+        let out = ex.run(Operation::Select(&q), Mode::Toss, &gov).unwrap();
         assert!(matches!(out.plan, Some(QueryPlan::IndexProbe { .. })));
         assert_eq!(
             gov.docs_scanned(),
@@ -1380,7 +1302,7 @@ mod tests {
         let gov = QueryGovernor::new(
             QueryBudget::unlimited().with_max_docs_scanned(Limit::soft(1)),
         );
-        let out = ex.select_governed(&q, Mode::Toss, &gov).unwrap();
+        let out = ex.run(Operation::Select(&q), Mode::Toss, &gov).unwrap();
         assert_eq!(out.forest.len(), 1, "soft cap must truncate the probe");
         assert!(out.degradation.is_some());
         assert_eq!(gov.docs_scanned(), 1);
@@ -1489,10 +1411,18 @@ mod tests {
                 TossCond::similar(TossTerm::content(2), TossTerm::content(3)),
             ]),
         };
-        let toss = ex.join(&left, &right, &cross, &[], Mode::Toss).unwrap();
+        let join = Operation::Join {
+            left: &left,
+            right: &right,
+            cross: &cross,
+            expand_labels: &[],
+        };
+        let toss = ex.run(join, Mode::Toss, &QueryGovernor::unlimited()).unwrap();
         // both dblp Ullmann papers join the single sigmod record
         assert!(toss.forest.len() >= 2, "got {}", toss.forest.len());
-        let tax = ex.join(&left, &right, &cross, &[], Mode::TaxBaseline).unwrap();
+        let tax = ex
+            .run(join, Mode::TaxBaseline, &QueryGovernor::unlimited())
+            .unwrap();
         assert!(tax.forest.len() < toss.forest.len());
     }
 
@@ -1526,8 +1456,13 @@ mod tests {
             .unwrap(),
             expand_labels: vec![],
         };
+        let list = [toss_tax::ProjectEntry::subtree(2)];
+        let project = Operation::Project {
+            query: &q,
+            list: &list,
+        };
         let out = ex
-            .project(&q, &[toss_tax::ProjectEntry::subtree(2)], Mode::Toss)
+            .run(project, Mode::Toss, &QueryGovernor::unlimited())
             .unwrap();
         let authors: Vec<String> = out
             .forest
@@ -1626,7 +1561,7 @@ mod tests {
             || QueryBudget::unlimited().with_max_expansion_terms(Limit::soft(2));
         for expected_misses in 1..=2 {
             let gov = QueryGovernor::new(budget());
-            let out = ex.select_governed(&q, Mode::Toss, &gov).unwrap();
+            let out = ex.run(Operation::Select(&q), Mode::Toss, &gov).unwrap();
             assert!(out.degradation.is_some(), "soft(2) must truncate");
             assert_eq!(ex.rewrite_cache.hits(), 0, "truncated rewrites never hit");
             assert_eq!(ex.rewrite_cache.misses(), expected_misses);
@@ -1645,13 +1580,13 @@ mod tests {
             QueryBudget::unlimited().with_max_expansion_terms(Limit::soft(4)),
         );
         // cold: exact (3 ≤ 4), so the expansion is cached and charged
-        ex.select_governed(&q, Mode::Toss, &gov).unwrap();
+        ex.run(Operation::Select(&q), Mode::Toss, &gov).unwrap();
         assert_eq!(ex.rewrite_cache.misses(), 1);
         assert_eq!(gov.terms_used(), 3);
         // warm, same governor: headroom is 1 < 3, so the entry is
         // unservable — the query degrades through the cold path instead
         // of over-charging the budget
-        let out = ex.select_governed(&q, Mode::Toss, &gov).unwrap();
+        let out = ex.run(Operation::Select(&q), Mode::Toss, &gov).unwrap();
         assert_eq!(ex.rewrite_cache.hits(), 0);
         assert_eq!(ex.rewrite_cache.misses(), 2);
         assert!(out.degradation.is_some());
@@ -1660,7 +1595,7 @@ mod tests {
         let gov2 = QueryGovernor::new(
             QueryBudget::unlimited().with_max_expansion_terms(Limit::soft(4)),
         );
-        let warm = ex.select_governed(&q, Mode::Toss, &gov2).unwrap();
+        let warm = ex.run(Operation::Select(&q), Mode::Toss, &gov2).unwrap();
         assert_eq!(ex.rewrite_cache.hits(), 1);
         assert_eq!(gov2.terms_used(), 3);
         assert!(warm.degradation.is_none());
@@ -1680,7 +1615,7 @@ mod tests {
         let gov = QueryGovernor::new(
             QueryBudget::unlimited().with_max_expansion_terms(Limit::soft(100)),
         );
-        ex.select_governed(&q, Mode::Toss, &gov).unwrap();
+        ex.run(Operation::Select(&q), Mode::Toss, &gov).unwrap();
         assert_eq!((ex.rewrite_cache.hits(), ex.rewrite_cache.misses()), (0, 2));
         assert_eq!(ex.rewrite_cache.len(), 2);
     }

@@ -35,6 +35,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+use toss_xmldb::{ScanBudget, ScanControl};
 
 /// Which budget dimension tripped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -311,8 +312,8 @@ impl QueryGovernor {
         }
     }
 
-    /// A governor with no limits (what ungoverned executor entry points
-    /// use internally).
+    /// A governor with no limits (what the unbudgeted executor calls
+    /// `select` and `join_similarity` pass to `Executor::run`).
     pub fn unlimited() -> Self {
         Self::new(QueryBudget::unlimited())
     }
@@ -456,21 +457,12 @@ impl QueryGovernor {
 
     /// Per-document scan hook: decide whether the next document may be
     /// visited. `Continue` also charges one document.
-    pub fn scan_control(&self) -> ScanDecision {
-        if self.token.is_cancelled() || self.deadline_expired() {
-            return ScanDecision::Abort;
+    pub fn scan_control(&self) -> ScanControl {
+        let decision = self.scan_preflight();
+        if decision == ScanControl::Continue {
+            self.docs_scanned.fetch_add(1, Ordering::Relaxed);
         }
-        let scanned = self.docs_scanned.load(Ordering::Relaxed);
-        if let Some(limit) = self.budget.max_docs_scanned {
-            if scanned >= limit.max {
-                return match limit.enforcement {
-                    Enforcement::Soft => ScanDecision::Truncate,
-                    Enforcement::Hard => ScanDecision::Abort,
-                };
-            }
-        }
-        self.docs_scanned.fetch_add(1, Ordering::Relaxed);
-        ScanDecision::Continue
+        decision
     }
 
     /// Non-charging companion to [`QueryGovernor::scan_control`]:
@@ -481,19 +473,26 @@ impl QueryGovernor {
     /// for documents that were never admitted. Never counts against any
     /// limit; the charging [`QueryGovernor::scan_control`] on the commit
     /// path stays authoritative.
-    pub fn scan_preflight(&self) -> ScanDecision {
+    pub fn scan_preflight(&self) -> ScanControl {
+        self.gate(self.budget.max_docs_scanned, &self.docs_scanned)
+    }
+
+    /// The decision shared by the scan hooks and the join-candidate
+    /// preflight: cancellation or an expired deadline aborts; a tally
+    /// already at its limit truncates (soft) or aborts (hard).
+    fn gate(&self, limit: Option<Limit>, used: &AtomicU64) -> ScanControl {
         if self.token.is_cancelled() || self.deadline_expired() {
-            return ScanDecision::Abort;
+            return ScanControl::Abort;
         }
-        if let Some(limit) = self.budget.max_docs_scanned {
-            if self.docs_scanned.load(Ordering::Relaxed) >= limit.max {
-                return match limit.enforcement {
-                    Enforcement::Soft => ScanDecision::Truncate,
-                    Enforcement::Hard => ScanDecision::Abort,
-                };
+        match limit {
+            Some(limit) if used.load(Ordering::Relaxed) >= limit.max => {
+                match limit.enforcement {
+                    Enforcement::Soft => ScanControl::Truncate,
+                    Enforcement::Hard => ScanControl::Abort,
+                }
             }
+            _ => ScanControl::Continue,
         }
-        ScanDecision::Continue
     }
 
     /// The error explaining why a scan aborted: cancellation and the
@@ -629,19 +628,8 @@ impl QueryGovernor {
     /// tasks ask this between probe groups so a budget that was already
     /// exhausted before the join stops far-ahead workers; the charging
     /// call on the commit frontier stays authoritative.
-    pub fn join_candidates_preflight(&self) -> ScanDecision {
-        if self.token.is_cancelled() || self.deadline_expired() {
-            return ScanDecision::Abort;
-        }
-        if let Some(limit) = self.budget.max_join_cardinality {
-            if self.join_candidates.load(Ordering::Relaxed) >= limit.max {
-                return match limit.enforcement {
-                    Enforcement::Soft => ScanDecision::Truncate,
-                    Enforcement::Hard => ScanDecision::Abort,
-                };
-            }
-        }
-        ScanDecision::Continue
+    pub fn join_candidates_preflight(&self) -> ScanControl {
+        self.gate(self.budget.max_join_cardinality, &self.join_candidates)
     }
 
     /// Admit `produced` witness trees; returns how many to keep.
@@ -702,15 +690,16 @@ impl QueryGovernor {
     }
 }
 
-/// The per-document decision of [`QueryGovernor::scan_control`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanDecision {
-    /// Visit the document (it has been charged).
-    Continue,
-    /// Stop scanning but keep the matches found so far (soft limit).
-    Truncate,
-    /// Stop scanning and fail the query (cancel / deadline / hard limit).
-    Abort,
+/// The governor is `toss-xmldb`'s cooperative scan hook: the store crate
+/// stays ignorant of `toss-core`'s budget types.
+impl ScanBudget for QueryGovernor {
+    fn before_document(&self, _docs_scanned: usize) -> ScanControl {
+        self.scan_control()
+    }
+
+    fn preflight(&self, _docs_scanned: usize) -> ScanControl {
+        self.scan_preflight()
+    }
 }
 
 /// Bounded concurrent query slots with a wait-queue timeout.
@@ -865,7 +854,7 @@ mod tests {
         let g = QueryGovernor::unlimited();
         assert!(g.check().is_ok());
         assert_eq!(g.admit_expansion_terms(1_000_000).unwrap(), 1_000_000);
-        assert_eq!(g.scan_control(), ScanDecision::Continue);
+        assert_eq!(g.scan_control(), ScanControl::Continue);
         assert_eq!(g.admit_join_cardinality(10_000, 10_000).unwrap(), None);
         assert_eq!(g.admit_witnesses(500).unwrap(), 500);
         assert!(g.charge_memory(1 << 40).unwrap());
@@ -911,7 +900,7 @@ mod tests {
         assert!(g.check().is_ok());
         t.cancel();
         assert!(matches!(g.check(), Err(TossError::Cancelled)));
-        assert_eq!(g.scan_control(), ScanDecision::Abort);
+        assert_eq!(g.scan_control(), ScanControl::Abort);
         assert!(matches!(g.scan_abort_error(), TossError::Cancelled));
     }
 
@@ -925,7 +914,7 @@ mod tests {
             other => panic!("expected deadline breach, got {other:?}"),
         }
         assert!(g.deadline_expired());
-        assert_eq!(g.scan_control(), ScanDecision::Abort);
+        assert_eq!(g.scan_control(), ScanControl::Abort);
     }
 
     #[test]
@@ -933,9 +922,9 @@ mod tests {
         let soft = QueryGovernor::new(
             QueryBudget::unlimited().with_max_docs_scanned(Limit::soft(2)),
         );
-        assert_eq!(soft.scan_control(), ScanDecision::Continue);
-        assert_eq!(soft.scan_control(), ScanDecision::Continue);
-        assert_eq!(soft.scan_control(), ScanDecision::Truncate);
+        assert_eq!(soft.scan_control(), ScanControl::Continue);
+        assert_eq!(soft.scan_control(), ScanControl::Continue);
+        assert_eq!(soft.scan_control(), ScanControl::Truncate);
         soft.note_scan_truncated(2, 10);
         let d = soft.degradation().unwrap();
         assert_eq!(d.tripped, BudgetKind::DocsScanned);
@@ -944,8 +933,8 @@ mod tests {
         let hard = QueryGovernor::new(
             QueryBudget::unlimited().with_max_docs_scanned(Limit::hard(1)),
         );
-        assert_eq!(hard.scan_control(), ScanDecision::Continue);
-        assert_eq!(hard.scan_control(), ScanDecision::Abort);
+        assert_eq!(hard.scan_control(), ScanControl::Continue);
+        assert_eq!(hard.scan_control(), ScanControl::Abort);
         assert!(matches!(
             hard.scan_abort_error(),
             TossError::BudgetExceeded(BudgetBreach {
@@ -961,21 +950,21 @@ mod tests {
             QueryBudget::unlimited().with_max_docs_scanned(Limit::soft(2)),
         );
         for _ in 0..10 {
-            assert_eq!(g.scan_preflight(), ScanDecision::Continue);
+            assert_eq!(g.scan_preflight(), ScanControl::Continue);
         }
         assert_eq!(g.docs_scanned(), 0, "preflight must not charge");
-        assert_eq!(g.scan_control(), ScanDecision::Continue);
-        assert_eq!(g.scan_control(), ScanDecision::Continue);
-        assert_eq!(g.scan_preflight(), ScanDecision::Truncate);
+        assert_eq!(g.scan_control(), ScanControl::Continue);
+        assert_eq!(g.scan_control(), ScanControl::Continue);
+        assert_eq!(g.scan_preflight(), ScanControl::Truncate);
 
         let hard = QueryGovernor::new(
             QueryBudget::unlimited().with_max_docs_scanned(Limit::hard(0)),
         );
-        assert_eq!(hard.scan_preflight(), ScanDecision::Abort);
+        assert_eq!(hard.scan_preflight(), ScanControl::Abort);
 
         let cancelled = QueryGovernor::unlimited();
         cancelled.token().cancel();
-        assert_eq!(cancelled.scan_preflight(), ScanDecision::Abort);
+        assert_eq!(cancelled.scan_preflight(), ScanControl::Abort);
     }
 
     #[test]

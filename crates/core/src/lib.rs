@@ -57,7 +57,7 @@ pub mod typesys;
 pub use condition::{TossCond, TossOp, TossTerm};
 pub use enhancer::{enhance_sdb, enhance_sdb_full, SdbSeo};
 pub use error::{TossError, TossResult};
-pub use executor::{Executor, QueryOutcome, QueryPlan, TossQuery};
+pub use executor::{Executor, Operation, QueryOutcome, QueryPlan, TossQuery};
 pub use toss_pool::WorkerPool;
 pub use governor::{
     AdmissionController, BudgetKind, CancelToken, DegradationInfo, Enforcement, Limit,

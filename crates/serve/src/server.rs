@@ -44,7 +44,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 use toss_core::executor::QueryOutcome;
-use toss_core::{AdmissionController, CancelToken, Executor, QueryGovernor};
+use toss_core::{AdmissionController, CancelToken, Executor, Operation, QueryGovernor};
 use toss_json::Value;
 use toss_obs::{
     FlightRecorder, QueryId, QueryOutcomeKind, QueryRecord, RollingWindow, SlowQueryLog,
@@ -1021,7 +1021,7 @@ fn handle_query(shared: &Arc<Shared>, entry: &Arc<ConnEntry>, q: &QueryRequest) 
     // latency into the client's retry window).
     let (queue_wait, result) = shared.admission.run_with_wait(&gov, || {
         let executor = shared.executor.read().unwrap_or_else(|e| e.into_inner());
-        executor.select_governed(&query, mode, &gov)
+        executor.run(Operation::Select(&query), mode, &gov)
     });
     let elapsed = started.elapsed();
 

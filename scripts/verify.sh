@@ -11,6 +11,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
+echo "==> cargo check perfbench (its own workspace: the build above skips it)"
+# the benchmark compiles against the executor's public API; an API change
+# that breaks it must fail here, not in the next benchmark run
+cargo check --offline --quiet --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 

@@ -18,8 +18,8 @@ use std::time::{Duration, Instant};
 use toss_core::algebra::TossPattern;
 use toss_core::executor::Mode;
 use toss_core::{
-    AdmissionController, BudgetKind, Executor, Limit, QueryBudget, QueryGovernor,
-    TossCond, TossError, TossQuery, TossTerm,
+    AdmissionController, BudgetKind, Executor, Limit, Operation, QueryBudget,
+    QueryGovernor, TossCond, TossError, TossQuery, TossTerm,
 };
 use toss_ontology::hierarchy::from_pairs;
 use toss_ontology::sea::enhance;
@@ -114,7 +114,7 @@ fn attempt(
     stats: &mut Stats,
 ) -> Result<(), String> {
     let gov = QueryGovernor::new(budget);
-    match ctrl.run(&gov, || ex.select_governed(query, Mode::Toss, &gov)) {
+    match ctrl.run(&gov, || ex.run(Operation::Select(query), Mode::Toss, &gov)) {
         Ok(out) => {
             stats.ok += 1;
             if let Some(d) = &out.degradation {
@@ -252,7 +252,7 @@ fn chaos_mixed_load_never_escapes_a_panic() {
                     QueryBudget::unlimited()
                 };
                 let gov = QueryGovernor::new(budget);
-                match ctrl.run(&gov, || ex.select_governed(&q, Mode::Toss, &gov)) {
+                match ctrl.run(&gov, || ex.run(Operation::Select(&q), Mode::Toss, &gov)) {
                     Ok(out) => {
                         stats.ok += 1;
                         match &out.degradation {
@@ -369,7 +369,7 @@ fn chaos_mixed_load_never_escapes_a_panic() {
     let gov = QueryGovernor::unlimited();
     let begun = Instant::now();
     let out = ctrl.run(&gov, || {
-        ex.select_governed(&author_query("Jeff Ullmann"), Mode::Toss, &gov)
+        ex.run(Operation::Select(&author_query("Jeff Ullmann")), Mode::Toss, &gov)
     });
     assert!(matches!(out, Err(TossError::Overloaded(_))), "{out:?}");
     assert!(begun.elapsed() < Duration::from_millis(500), "unbounded queueing");
@@ -380,7 +380,7 @@ fn chaos_mixed_load_never_escapes_a_panic() {
     let gov = QueryGovernor::unlimited();
     let out = ctrl
         .run(&gov, || {
-            ex.select_governed(&author_query("Jeff Ullmann"), Mode::Toss, &gov)
+            ex.run(Operation::Select(&author_query("Jeff Ullmann")), Mode::Toss, &gov)
         })
         .expect("post-chaos query must succeed");
     assert_eq!(out.forest.len(), 20, "both Ullman spellings across 30 docs");
