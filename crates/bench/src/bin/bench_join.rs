@@ -19,8 +19,8 @@
 //!
 //! Both workloads assert a **byte-identical-output** equality before
 //! any timing is trusted: the folded FNV-1a checksum over the output
-//! forest's canonical tree fingerprints (order-sensitive, so it also
-//! proves emission order) must match between the refined and unrefined
+//! forest's serialized trees (order-sensitive, so it also proves
+//! emission order) must match between the refined and unrefined
 //! paths. `--quick` shrinks sizes for the `verify.sh` smoke step and
 //! skips the timing gates (planner-choice and equality gates always
 //! run); the JSON schema is identical in both modes.
@@ -105,11 +105,12 @@ fn flat_side(n: usize, offset: usize) -> Forest {
 }
 
 /// Order-sensitive folded checksum of the output pair-set: FNV-1a over
-/// every tree's canonical fingerprint in forest order.
+/// every tree's compact XML in forest order.
 fn forest_checksum(inst: &SeoInstance) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for t in &inst.forest {
-        for b in toss_tree::eq::fingerprint(t).as_bytes() {
+        let xml = toss_tree::serialize::tree_to_xml(t, toss_tree::serialize::Style::Compact);
+        for b in xml.as_bytes() {
             h ^= *b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }

@@ -16,7 +16,7 @@
 //!    mirroring the nested path's exact-string buckets). Two trees join
 //!    iff their signatures overlap in ≥ [`OVERLAP_T`] elements, which
 //!    makes the similarity join an exact *set-overlap join*. Trees are
-//!    first grouped by canonical fingerprint — duplicated trees (the
+//!    first grouped by canonical form — duplicated trees (the
 //!    very thing a skewed corpus is full of) are signed, probed,
 //!    verified and charged **once per distinct tree**, not once per
 //!    copy.
@@ -67,6 +67,7 @@ use crate::oes::SeoInstance;
 use std::collections::HashMap;
 use toss_pool::{partition_ranges, WorkerPool};
 use toss_tax::ops::PROD_ROOT_TAG;
+use toss_tree::eq::{canonical_hash, TreeSet};
 use toss_tree::{Forest, NodeData, Tree};
 use toss_xmldb::ScanControl;
 
@@ -207,7 +208,7 @@ fn refined_join(
     let span = toss_obs::span("toss.join.refined");
     let classes = seo_classes(&left.seo);
 
-    // --- 1. signatures + fingerprint grouping (pooled per side) ---
+    // --- 1. signatures + canonical-form grouping (pooled per side) ---
     let sig_span = toss_obs::span("toss.join.signatures");
     let lraw = side_groups(&left.forest, left_key, &classes, pool);
     let rraw = side_groups(&right.forest, right_key, &classes, pool);
@@ -374,16 +375,17 @@ fn prefix_len(sig_len: usize) -> usize {
     }
 }
 
-/// One side's trees, fingerprint-grouped, with the raw (un-renumbered)
-/// signature of each group: sorted class ids + sorted key renderings.
+/// One side's trees, grouped by canonical form, with the raw
+/// (un-renumbered) signature of each group: sorted class ids + sorted
+/// key renderings.
 struct RawGroup {
     first: usize,
     classes: Vec<u32>,
     keys: Vec<String>,
 }
 
-/// Fingerprint + key extraction fans out through the pool (tasks are
-/// range-partitioned and results concatenate in task order, so the
+/// Canonical hashing + key extraction fans out through the pool (tasks
+/// are range-partitioned and results concatenate in task order, so the
 /// outcome is identical at any worker count); grouping is sequential.
 fn side_groups(
     forest: &Forest,
@@ -399,37 +401,34 @@ fn side_groups(
             move || {
                 trees[s..e]
                     .iter()
-                    .map(|t| (toss_tree::eq::fingerprint(t), key.extract(t)))
+                    .map(|t| (canonical_hash(t), key.extract(t)))
                     .collect::<Vec<_>>()
             }
         })
         .collect();
-    let signed: Vec<(String, Vec<String>)> = pool.run(tasks).into_iter().flatten().collect();
+    let signed: Vec<(u64, Vec<String>)> = pool.run(tasks).into_iter().flatten().collect();
 
-    let mut by_fp: HashMap<String, ()> = HashMap::with_capacity(signed.len());
+    let mut seen = TreeSet::new();
     let mut groups: Vec<RawGroup> = Vec::new();
-    for (i, (fp, keys)) in signed.into_iter().enumerate() {
-        use std::collections::hash_map::Entry;
-        match by_fp.entry(fp) {
-            Entry::Occupied(_) => {} // identical tree ⇒ identical signature
-            Entry::Vacant(v) => {
-                v.insert(());
-                let mut cls: Vec<u32> = keys
-                    .iter()
-                    .flat_map(|k| classes.get(k).map(Vec::as_slice).unwrap_or(&[]))
-                    .copied()
-                    .collect();
-                cls.sort_unstable();
-                cls.dedup();
-                let mut ks = keys;
-                ks.sort_unstable();
-                groups.push(RawGroup {
-                    first: i,
-                    classes: cls,
-                    keys: ks,
-                });
-            }
+    for (i, (hash, keys)) in signed.into_iter().enumerate() {
+        // an equal tree seen before ⇒ identical signature
+        if !seen.insert_hashed(hash, &trees[i]) {
+            continue;
         }
+        let mut cls: Vec<u32> = keys
+            .iter()
+            .flat_map(|k| classes.get(k).map(Vec::as_slice).unwrap_or(&[]))
+            .copied()
+            .collect();
+        cls.sort_unstable();
+        cls.dedup();
+        let mut ks = keys;
+        ks.sort_unstable();
+        groups.push(RawGroup {
+            first: i,
+            classes: cls,
+            keys: ks,
+        });
     }
     groups
 }

@@ -35,7 +35,7 @@ use std::time::Duration;
 use toss_ontology::Seo;
 use toss_pool::WorkerPool;
 use toss_tax::{Cond, PatternTree};
-use toss_tree::Forest;
+use toss_tree::{Forest, Tree};
 use toss_xmldb::xpath::{Expr, NameTest, RelPath, ValueExpr};
 use toss_xmldb::{
     planned_partitions, Collection, Database, DocumentId, NodeRef, ScanStatus, XPath,
@@ -209,7 +209,7 @@ pub enum QueryPlan {
         partitions: usize,
     },
     /// Keyed similarity join: the nested SEO-class hash join, escaping
-    /// to the skew-adaptive refined path (fingerprint groups +
+    /// to the skew-adaptive refined path (canonical-form groups +
     /// prefix-filter inverted index over rare-first signatures) when
     /// the observed bucket-product work crossed the planner threshold.
     SimilarityJoin {
@@ -426,7 +426,7 @@ fn plan_retrieval(
 /// allocator ledger.
 const APPROX_NODE_BYTES: u64 = 96;
 
-fn approx_tree_bytes(t: &toss_tree::Tree) -> u64 {
+fn approx_tree_bytes(t: &Tree) -> u64 {
     t.node_count() as u64 * APPROX_NODE_BYTES
 }
 
@@ -799,24 +799,24 @@ impl Executor {
         })
     }
 
-    /// Load the matched documents as candidate witness trees, charging
+    /// Borrow the matched documents as candidate witness trees, charging
     /// the approximate-memory budget per tree. A tripped soft ceiling
-    /// stops loading further documents (graceful degradation); a hard
+    /// stops taking further documents (graceful degradation); a hard
     /// ceiling errors.
-    fn load_candidates(
+    fn load_candidates<'c>(
         &self,
-        coll: &Collection,
+        coll: &'c Collection,
         matches: &[NodeRef],
         gov: &QueryGovernor,
         cv: &toss_obs::SpanGuard,
-    ) -> TossResult<Forest> {
+    ) -> TossResult<Vec<&'c Tree>> {
         let docs: BTreeSet<_> = matches.iter().map(|m| m.doc).collect();
         cv.record("candidate_docs", docs.len());
-        let mut candidate = Forest::new();
+        let mut candidate = Vec::new();
         for doc in docs {
             gov.check()?;
-            let tree = coll.get(doc)?.tree.clone();
-            let fits = gov.charge_memory(approx_tree_bytes(&tree))?;
+            let tree = &coll.get(doc)?.tree;
+            let fits = gov.charge_memory(approx_tree_bytes(tree))?;
             candidate.push(tree);
             if !fits {
                 cv.record("memory_truncated_at", candidate.len());
@@ -862,9 +862,9 @@ impl Executor {
                     let candidate = self.load_candidates(ret.coll, &ret.matches, gov, cv)?;
                     Ok(match op {
                         Operation::Project { list, .. } => {
-                            toss_tax::project(&candidate, &ret.compiled, list)?
+                            toss_tax::project(candidate, &ret.compiled, list)?
                         }
-                        _ => toss_tax::select(&candidate, &ret.compiled, &query.expand_labels)?,
+                        _ => toss_tax::select(candidate, &ret.compiled, &query.expand_labels)?,
                     })
                 })?;
                 let phases = [ret.rewrite_time, ret.execute_time, convert_time];

@@ -10,9 +10,14 @@ use toss_tree::{Forest, NodeData, NodeId, Tree};
 /// Selection σ_{P, SL}: all witness trees of `pattern` against every tree
 /// of the input, where the nodes bound to labels in `expand_labels` (the
 /// paper's `SL`) additionally contribute their full descendant cones.
-/// Results are deduplicated (set semantics under ordered isomorphism).
-pub fn select(
-    input: &Forest,
+/// Results are deduplicated (set semantics under canonical equality,
+/// see [`toss_tree::eq`]). The input trees are borrowed; `&Forest` works.
+///
+/// When an expanded label's image is the document root, the witness is
+/// the whole document: it is copied as is, once per input tree, instead
+/// of being rebuilt node by node (its repeats would dedup away anyway).
+pub fn select<'a>(
+    input: impl IntoIterator<Item = &'a Tree>,
     pattern: &PatternTree,
     expand_labels: &[u32],
 ) -> TaxResult<Forest> {
@@ -22,8 +27,17 @@ pub fn select(
         .collect();
     let mut out = Forest::new();
     for tree in input {
+        let mut whole_pushed = false;
         for e in embeddings(pattern, tree) {
-            out.push(witness_tree(tree, pattern, &e, &expand)?);
+            let whole = tree
+                .root()
+                .is_some_and(|r| expand.iter().any(|&p| e.image(p) == r));
+            if !whole {
+                out.push(witness_tree(tree, pattern, &e, &expand)?);
+            } else if !whole_pushed {
+                out.push(tree.clone());
+                whole_pushed = true;
+            }
         }
     }
     Ok(out.dedup())
@@ -60,9 +74,10 @@ impl ProjectEntry {
 /// Projection π_{P, PL}: per input tree, keep every node that is the image
 /// of a projection-list label under *some* embedding (plus subtrees where
 /// requested), preserving hierarchical relationships; disconnected pieces
-/// become separate output trees. Results are deduplicated.
-pub fn project(
-    input: &Forest,
+/// become separate output trees. Results are deduplicated. The input
+/// trees are borrowed, as in [`select`].
+pub fn project<'a>(
+    input: impl IntoIterator<Item = &'a Tree>,
     pattern: &PatternTree,
     list: &[ProjectEntry],
 ) -> TaxResult<Forest> {

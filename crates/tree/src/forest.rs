@@ -4,11 +4,10 @@
 //! trees*; TAX operators consume and produce such collections. [`Forest`]
 //! keeps trees in a stable order (document order for loaded XML, output
 //! order for operator results) and offers set-theoretic helpers built on
-//! ordered-isomorphism equality.
+//! the canonical tree equality of [`crate::eq`].
 
-use crate::eq::{fingerprint, trees_equal};
+use crate::eq::{trees_equal, TreeSet};
 use crate::tree::Tree;
-use std::collections::HashSet;
 
 /// An ordered collection of trees — a semistructured instance, a TAX
 /// operator input, or a TAX operator output.
@@ -69,51 +68,53 @@ impl Forest {
     }
 
     /// Set union: all trees of `self`, then trees of `other` not already
-    /// present (by ordered isomorphism). Duplicates within each operand are
-    /// also collapsed, matching set semantics.
+    /// present (by canonical equality, see [`TreeSet`]). Duplicates within
+    /// each operand are also collapsed, matching set semantics.
     pub fn set_union(&self, other: &Forest) -> Forest {
-        let mut seen = HashSet::new();
-        let mut out = Forest::new();
-        for t in self.trees.iter().chain(other.trees.iter()) {
-            if seen.insert(fingerprint(t)) {
-                out.push(t.clone());
-            }
-        }
-        out
+        let mut seen = TreeSet::new();
+        self.trees
+            .iter()
+            .chain(&other.trees)
+            .filter(|&t| seen.insert(t))
+            .cloned()
+            .collect()
     }
 
-    /// Set intersection under ordered isomorphism (order follows `self`).
+    /// Set intersection under canonical equality (order follows `self`).
     pub fn set_intersection(&self, other: &Forest) -> Forest {
-        let theirs: HashSet<String> = other.trees.iter().map(fingerprint).collect();
-        let mut seen = HashSet::new();
-        let mut out = Forest::new();
-        for t in &self.trees {
-            let fp = fingerprint(t);
-            if theirs.contains(&fp) && seen.insert(fp) {
-                out.push(t.clone());
-            }
-        }
-        out
+        self.filter_against(other, true)
     }
 
-    /// Set difference `self − other` under ordered isomorphism.
+    /// Set difference `self − other` under canonical equality.
     pub fn set_difference(&self, other: &Forest) -> Forest {
-        let theirs: HashSet<String> = other.trees.iter().map(fingerprint).collect();
-        let mut seen = HashSet::new();
-        let mut out = Forest::new();
-        for t in &self.trees {
-            let fp = fingerprint(t);
-            if !theirs.contains(&fp) && seen.insert(fp) {
-                out.push(t.clone());
-            }
-        }
-        out
+        self.filter_against(other, false)
     }
 
-    /// Remove duplicate trees (ordered isomorphism), keeping first
-    /// occurrences.
-    pub fn dedup(&self) -> Forest {
-        self.set_union(&Forest::new())
+    /// The distinct trees of `self` whose membership in `other` is
+    /// `member`, first occurrences in order.
+    fn filter_against(&self, other: &Forest, member: bool) -> Forest {
+        let mut theirs = TreeSet::new();
+        for t in &other.trees {
+            theirs.insert(t);
+        }
+        let mut seen = TreeSet::new();
+        self.trees
+            .iter()
+            .filter(|&t| theirs.contains(t) == member && seen.insert(t))
+            .cloned()
+            .collect()
+    }
+
+    /// Remove duplicate trees (canonical equality), keeping first
+    /// occurrences in order. Kept trees are moved, not copied.
+    pub fn dedup(mut self) -> Forest {
+        let keep: Vec<bool> = {
+            let mut seen = TreeSet::new();
+            self.trees.iter().map(|t| seen.insert(t)).collect()
+        };
+        let mut keep = keep.into_iter();
+        self.trees.retain(|_| keep.next().unwrap_or(false));
+        self
     }
 }
 
@@ -187,6 +188,15 @@ mod tests {
         assert_eq!(a.set_intersection(&e).len(), 0);
         assert_eq!(a.set_difference(&e).len(), 1);
         assert_eq!(e.set_difference(&a).len(), 0);
+    }
+
+    #[test]
+    fn dedup_moves_first_occurrences_in_order() {
+        let f = Forest::from_trees(vec![t("b", "2"), t("a", "1"), t("b", "2"), t("a", "1")]);
+        let d = f.dedup();
+        assert_eq!(d.len(), 2);
+        assert!(trees_equal(&d.trees()[0], &t("b", "2")));
+        assert!(trees_equal(&d.trees()[1], &t("a", "1")));
     }
 
     #[test]

@@ -48,17 +48,11 @@ impl Iterator for Preorder<'_> {
 
     fn next(&mut self) -> Option<NodeId> {
         let cur = self.stack.pop()?;
-        // push children reversed
-        let mut children = Vec::new();
-        if let Ok(slot) = self.arena.slot(cur) {
-            let mut c = slot.first_child;
-            while let Some(id) = c {
-                children.push(id);
-                c = self.arena.slot(id).ok().and_then(|s| s.next_sibling);
-            }
-        }
-        for &c in children.iter().rev() {
-            self.stack.push(c);
+        // push children last to first, so the leftmost pops first
+        let mut c = self.arena.slot(cur).ok().and_then(|s| s.last_child);
+        while let Some(id) = c {
+            self.stack.push(id);
+            c = self.arena.slot(id).ok().and_then(|s| s.prev_sibling);
         }
         Some(cur)
     }

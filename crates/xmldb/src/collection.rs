@@ -9,6 +9,7 @@
 use crate::error::{DbError, DbResult};
 use crate::index::{CollectionIndex, IndexView};
 use crate::segidx::FrozenIndex;
+use std::collections::BTreeMap;
 use toss_tree::serialize::{tree_to_xml, Style};
 use toss_tree::Tree;
 
@@ -55,6 +56,8 @@ enum IndexState {
 pub struct Collection {
     name: String,
     docs: Vec<StoredDocument>,
+    /// Document id → position in `docs`.
+    positions: BTreeMap<DocumentId, usize>,
     next_id: u64,
     size_bytes: usize,
     size_limit: Option<usize>,
@@ -67,6 +70,7 @@ impl Collection {
         Collection {
             name: name.into(),
             docs: Vec::new(),
+            positions: BTreeMap::new(),
             next_id: 0,
             size_bytes: 0,
             size_limit,
@@ -165,10 +169,7 @@ impl Collection {
     /// gap *above* the largest live id is invisible here and must be
     /// restored separately (see the snapshot's `next_id` field).
     pub fn insert_with_id(&mut self, id: DocumentId, tree: Tree) -> DbResult<()> {
-        // Ids are monotonic, so the common case (id above every stored
-        // id) is one tail check; only out-of-order ids pay a full scan.
-        let maybe_dup = self.docs.last().is_some_and(|d| d.id >= id);
-        if maybe_dup && self.docs.iter().any(|d| d.id == id) {
+        if self.positions.contains_key(&id) {
             return Err(DbError::Storage(format!(
                 "duplicate document id {id} in collection `{}`",
                 self.name
@@ -189,6 +190,7 @@ impl Collection {
             self.index_mut().add_document(id, &tree);
         }
         self.size_bytes += size;
+        self.positions.insert(id, self.docs.len());
         self.docs.push(StoredDocument {
             id,
             tree,
@@ -203,22 +205,23 @@ impl Collection {
         self.insert(tree)
     }
 
+    /// Position of a document in `docs`, in O(log n).
+    fn position(&self, id: DocumentId) -> DbResult<usize> {
+        self.positions
+            .get(&id)
+            .copied()
+            .ok_or(DbError::NoSuchDocument(id.0))
+    }
+
     /// Fetch a document by id.
     pub fn get(&self, id: DocumentId) -> DbResult<&StoredDocument> {
-        self.docs
-            .iter()
-            .find(|d| d.id == id)
-            .ok_or(DbError::NoSuchDocument(id.0))
+        Ok(&self.docs[self.position(id)?])
     }
 
     /// Replace a document's tree in place, keeping its id. Re-checks the
     /// size limit against the new total and re-indexes.
     pub fn replace(&mut self, id: DocumentId, tree: Tree) -> DbResult<Tree> {
-        let pos = self
-            .docs
-            .iter()
-            .position(|d| d.id == id)
-            .ok_or(DbError::NoSuchDocument(id.0))?;
+        let pos = self.position(id)?;
         let new_size = tree_to_xml(&tree, Style::Compact).len();
         let old_size = self.docs[pos].size_bytes;
         if let Some(limit) = self.size_limit {
@@ -241,15 +244,17 @@ impl Collection {
 
     /// Remove a document by id; returns the removed tree.
     pub fn remove(&mut self, id: DocumentId) -> DbResult<Tree> {
-        let pos = self
-            .docs
-            .iter()
-            .position(|d| d.id == id)
-            .ok_or(DbError::NoSuchDocument(id.0))?;
+        let pos = self.position(id)?;
         // Thaw before removing from `docs` so a frozen rebuild still
         // sees the document it must then un-index.
         self.index_mut().remove_document(id);
         let doc = self.docs.remove(pos);
+        self.positions.remove(&id);
+        for p in self.positions.values_mut() {
+            if *p > pos {
+                *p -= 1;
+            }
+        }
         self.size_bytes -= doc.size_bytes;
         Ok(doc.tree)
     }
@@ -398,6 +403,43 @@ mod tests {
         // shrinking replacement is fine
         c.replace(id, TreeBuilder::new("a").build()).unwrap();
         assert!(c.size_bytes() < 60);
+    }
+
+    #[test]
+    fn out_of_order_ids_are_found_by_get_replace_and_remove() {
+        let mut c = Collection::new("x", None);
+        for n in [5u64, 2, 9, 0, 7] {
+            c.insert_with_id(DocumentId(n), doc(n as usize)).unwrap();
+        }
+        let title = |c: &Collection, n: u64| {
+            let t = &c.get(DocumentId(n)).unwrap().tree;
+            let leaf = t.children(t.root().unwrap()).next().unwrap();
+            t.data(leaf).unwrap().content_str()
+        };
+        for n in [5u64, 2, 9, 0, 7] {
+            assert_eq!(title(&c, n), format!("Paper {n}"));
+        }
+        assert!(c.insert_with_id(DocumentId(2), doc(2)).is_err());
+        c.replace(DocumentId(9), doc(99)).unwrap();
+        assert_eq!(title(&c, 9), "Paper 99");
+        // removing from the middle re-points every later position
+        assert_eq!(c.remove(DocumentId(2)).unwrap().node_count(), 2);
+        for n in [5u64, 9, 0, 7] {
+            assert!(c.get(DocumentId(n)).is_ok());
+        }
+        assert_eq!(title(&c, 7), "Paper 7");
+        let ids: Vec<u64> = c.documents().iter().map(|d| d.id.0).collect();
+        assert_eq!(ids, vec![5, 9, 0, 7], "insertion order is kept");
+        for missing in [2u64, 3, 100] {
+            let id = DocumentId(missing);
+            assert!(matches!(c.get(id), Err(DbError::NoSuchDocument(m)) if m == missing));
+            assert!(matches!(
+                c.replace(id, doc(0)),
+                Err(DbError::NoSuchDocument(_))
+            ));
+            assert!(matches!(c.remove(id), Err(DbError::NoSuchDocument(_))));
+        }
+        assert_eq!(c.next_id(), 10);
     }
 
     #[test]

@@ -10,11 +10,12 @@
 
 use super::ast::{Axis, Expr, NameTest, Path, RelPath, Step, ValueExpr, XPath};
 use crate::collection::{Collection, DocumentId};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use toss_pool::{partition_ranges, WorkerPool};
-use toss_tree::{NodeId, Tree};
+use toss_tree::{NodeId, Tree, Value};
 
 /// A query result: one node in one document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -156,11 +157,15 @@ pub fn string_value(tree: &Tree, node: NodeId) -> String {
 /// elements whose descendants also carry text, losing true matches; the
 /// own-content semantics makes `[a='v']`, `text()`, `contains(...)` agree
 /// exactly with the data model.
-pub fn own_text(tree: &Tree, node: NodeId) -> String {
-    tree.data(node)
-        .ok()
-        .and_then(|d| d.content.as_ref().map(|c| c.render()))
-        .unwrap_or_default()
+///
+/// String content is borrowed; only numeric content is rendered, since
+/// every `text()='…'` disjunct compares against it.
+pub fn own_text(tree: &Tree, node: NodeId) -> Cow<'_, str> {
+    match tree.data(node).ok().and_then(|d| d.content.as_ref()) {
+        None => Cow::Borrowed(""),
+        Some(Value::Str(s)) => Cow::Borrowed(s),
+        Some(v) => Cow::Owned(v.render()),
+    }
 }
 
 impl XPath {

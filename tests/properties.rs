@@ -402,6 +402,139 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// copy-free convert stage: whole-document witnesses, hashed dedup
+// ---------------------------------------------------------------------
+
+/// A tree over two tags whose contents are small numbers in every
+/// `Value` type, plus absent and empty content: many distinct trees
+/// share a tag skeleton, and many unequal `Value`s render alike.
+fn lookalike_tree() -> impl Strategy<Value = Tree> {
+    proptest::collection::vec((0usize..2, 0usize..5, 0i64..3), 1..4).prop_map(|leaves| {
+        let mut t = Tree::with_root(NodeData::element("r"));
+        let mut parents = vec![t.root().expect("root exists")];
+        for (i, (tag, kind, n)) in leaves.into_iter().enumerate() {
+            let tag = ["a", "b"][tag];
+            let data = match kind {
+                0 => NodeData::with_content(tag, n),
+                1 => NodeData::with_content(tag, n.to_string()),
+                2 => NodeData::with_content(tag, n as f64),
+                3 => NodeData::element(tag),
+                _ => NodeData::with_content(tag, ""),
+            };
+            let id = t
+                .add_child(parents[i % parents.len()], data)
+                .expect("valid parent");
+            if i % 2 == 0 {
+                parents.push(id);
+            }
+        }
+        t
+    })
+}
+
+/// Positions of the first occurrence of each distinct fingerprint —
+/// the reference dedup the hashed key must reproduce.
+fn fingerprint_firsts(trees: &[Tree]) -> Vec<usize> {
+    let mut seen = HashSet::new();
+    (0..trees.len())
+        .filter(|&i| seen.insert(fingerprint(&trees[i])))
+        .collect()
+}
+
+/// A random pattern: label 1 is the root (bound to the document root or
+/// to any node), label 2 a pc/ad child, optionally label 3 below it;
+/// `mask` picks the expanded labels (bit 3 names a missing label).
+fn random_pattern(root_kind: usize, tag: &str, mask: usize, ad: bool) -> (PatternTree, Vec<u32>) {
+    let edge = if ad {
+        EdgeKind::AncestorDescendant
+    } else {
+        EdgeKind::ParentChild
+    };
+    let mut p = PatternTree::new(1);
+    let root = p.root();
+    let two = p.add_child(root, 2, edge).expect("fresh label");
+    let mut conds = vec![Cond::eq(Term::tag(2), Term::str(tag))];
+    match root_kind {
+        0 => conds.push(Cond::eq(Term::tag(1), Term::str("r"))),
+        1 => conds.push(Cond::eq(Term::tag(1), Term::str(tag))),
+        _ => {}
+    }
+    if root_kind == 3 {
+        p.add_child(two, 3, EdgeKind::AncestorDescendant)
+            .expect("fresh label");
+    }
+    p.set_condition(Cond::all(conds)).expect("labels exist");
+    let expand = [1u32, 2, 3, 9]
+        .into_iter()
+        .enumerate()
+        .filter(|&(bit, _)| mask & (1 << bit) != 0)
+        .map(|(_, l)| l)
+        .collect();
+    (p, expand)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `select` copies a whole document when an expanded label binds
+    /// the document root; that shortcut serializes exactly like
+    /// building every witness through `witness_tree` and deduplicating
+    /// by fingerprint, whether the expanded label lands on the root or
+    /// not.
+    #[test]
+    fn whole_document_witnesses_match_the_general_path(
+        ts in proptest::collection::vec(tree(), 1..4),
+        (root_kind, tag, mask, ad) in (0usize..4, word(), 0usize..16, 0u8..2),
+    ) {
+        let (p, expand_labels) = random_pattern(root_kind, &tag, mask, ad == 1);
+        let expand: Vec<_> = expand_labels.iter().filter_map(|&l| p.node_by_label(l)).collect();
+        let mut general = Vec::new();
+        for t in &ts {
+            for e in embeddings(&p, t) {
+                general.push(
+                    toss::tax::witness::witness_tree(t, &p, &e, &expand).expect("witness"),
+                );
+            }
+        }
+        let xml = |t: &Tree| toss::tree::serialize::tree_to_xml(t, toss::tree::serialize::Style::Compact);
+        let want: Vec<String> = fingerprint_firsts(&general).into_iter().map(|i| xml(&general[i])).collect();
+        let got: Vec<String> = select(&ts, &p, &expand_labels).expect("select").iter().map(xml).collect();
+        prop_assert_eq!(got, want, "pattern {:?} expanding {:?}", p, expand_labels);
+    }
+
+    /// The owning hashed dedup keeps exactly the trees the fingerprint
+    /// dedup kept — same first occurrences, same order, and the very
+    /// same `Value`s (a kept `Int(1)` is not swapped for a later
+    /// `Str("1")`) — and the set operators agree with fingerprint sets.
+    #[test]
+    fn hashed_dedup_equals_fingerprint_dedup(
+        a in proptest::collection::vec(lookalike_tree(), 0..8),
+        b in proptest::collection::vec(lookalike_tree(), 0..8),
+    ) {
+        let firsts = fingerprint_firsts(&a);
+        let deduped = Forest::from_trees(a.clone()).dedup();
+        prop_assert_eq!(deduped.len(), firsts.len());
+        for (kept, &i) in deduped.iter().zip(&firsts) {
+            prop_assert!(trees_equal(kept, &a[i]), "kept {:?}, want {:?}", kept, a[i]);
+        }
+
+        let fps = |f: &Forest| f.iter().map(fingerprint).collect::<Vec<_>>();
+        let (fa, fb) = (Forest::from_trees(a.clone()), Forest::from_trees(b.clone()));
+        let theirs: HashSet<String> = b.iter().map(fingerprint).collect();
+        let both: Vec<Tree> = a.iter().chain(&b).cloned().collect();
+        let union: Vec<String> = fingerprint_firsts(&both).into_iter().map(|i| fingerprint(&both[i])).collect();
+        prop_assert_eq!(fps(&fa.set_union(&fb)), union);
+        let (mut inter, mut diff) = (Vec::new(), Vec::new());
+        for i in firsts {
+            let fp = fingerprint(&a[i]);
+            if theirs.contains(&fp) { inter.push(fp) } else { diff.push(fp) }
+        }
+        prop_assert_eq!(fps(&fa.set_intersection(&fb)), inter);
+        prop_assert_eq!(fps(&fa.set_difference(&fb)), diff);
+    }
+}
+
+// ---------------------------------------------------------------------
 // durability: snapshot + journal recovery
 // ---------------------------------------------------------------------
 
